@@ -36,7 +36,7 @@ let experiments ~full ~seed ~scale ~domains =
     ("torture", fun () -> Exp_torture.run { Exp_torture.full; seed; scale });
     ("shard", fun () -> Exp_shard.run { Exp_shard.full; seed; scale });
     ("shapes", fun () -> Exp_shapes.run { Exp_shapes.full; seed; scale });
-    ("adaptive", fun () -> Exp_adaptive.run { Exp_adaptive.full; seed; scale });
+    ("budget", fun () -> Exp_budget.run { Exp_budget.full; seed; scale });
     ("parallel", fun () -> Exp_parallel.run { Exp_parallel.full; seed; scale; domains });
   ]
 
@@ -92,7 +92,7 @@ let names =
     & info [] ~docv:"EXPERIMENT"
         ~doc:
           "Experiments to run: table1 fig6 fig7 fig8 fig9 fig10 fig11 fig12 \
-           maintain-measured ablation-policy ablation-aux ablation-f ablation-drift ablation-interval sens-warmup micro plancache telemetry observability torture shard shapes adaptive parallel. \
+           maintain-measured ablation-policy ablation-aux ablation-f ablation-drift ablation-interval sens-warmup micro plancache telemetry observability torture shard shapes budget parallel. \
            Default: all.")
 
 let cmd =

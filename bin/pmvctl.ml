@@ -442,7 +442,7 @@ let repl scale seed fresh persist shards domains probe_path =
 
 (* Replay one deterministic torture campaign (fault injection + oracle
    checking); the same seed always reproduces the same event digest. *)
-let torture scale seed events check_every shards domains probe_path adaptive verbose =
+let torture scale seed events check_every shards domains probe_path verbose =
   let module Torture = Minirel_check.Torture in
   let cfg =
     {
@@ -453,24 +453,21 @@ let torture scale seed events check_every shards domains probe_path adaptive ver
       shards;
       domains;
       probe_path;
-      adaptive;
       log = (if verbose then Some (Fmt.pr "  %s@.") else None);
     }
   in
-  Fmt.pr "torture: seed %d, %d events, scale %g%s%s%s%s%s@." seed events scale
+  Fmt.pr "torture: seed %d, %d events, scale %g%s%s%s%s@." seed events scale
     (if shards > 1 then Fmt.str ", %d shards" shards else "")
     (if shards > 1 && domains > 1 then Fmt.str ", %d domains" domains else "")
     (if probe_path = Pmv.Answer.Epoch then ", epoch probes" else "")
-    (if adaptive then ", adaptive maintenance" else "")
     (if verbose then "" else " (use --verbose for the event trace)");
   let o = if shards > 1 then Torture.run_sharded cfg else Torture.run cfg in
   Fmt.pr "%a@." Torture.pp_outcome o;
   if not (Torture.ok o) then begin
     Fmt.epr
       "reproduce with: pmvctl torture --seed %d --events %d --scale %g --shards %d \
-       --domains %d%s --verbose@."
-      seed events scale shards domains
-      (if adaptive then " --adaptive" else "");
+       --domains %d --verbose@."
+      seed events scale shards domains;
     exit 1
   end
 
@@ -637,16 +634,6 @@ let torture_cmd =
     Arg.(value & opt int 40 & info [ "check-every" ] ~docv:"K" ~doc:"Deep-check cadence.")
   in
   let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the event trace.") in
-  let adaptive =
-    Arg.(
-      value
-      & flag
-      & info [ "adaptive" ]
-          ~doc:
-            "Enable heavy-light adaptive maintenance on every view: deltas touching \
-             only light update keys lapse entries (recomputed on next probe) instead \
-             of eager victim removal; the oracle checks stay exact either way.")
-  in
   let scale =
     Arg.(value & opt float 0.002 & info [ "scale" ] ~docv:"S" ~doc:"TPC-R scale.")
   in
@@ -658,7 +645,7 @@ let torture_cmd =
           oracle-checked; exits non-zero on any consistency violation")
     Term.(
       const torture $ scale $ seed_arg $ events $ check_every $ shards_arg $ domains_arg
-      $ probe_path_arg $ adaptive $ verbose)
+      $ probe_path_arg $ verbose)
 
 let () =
   let doc = "partial materialized views demonstration tool" in

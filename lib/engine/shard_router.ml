@@ -406,12 +406,12 @@ let run t changes =
 (* Create the template's PMV on every shard. [capacity]/[ub_bytes] are
    per shard: the aggregate cache budget scales with the shard count,
    which is precisely the scale-out lever. *)
-let create_view ?policy ?f_max ?capacity ?ub_bytes ?adaptive t compiled =
+let create_view ?policy ?f_max ?capacity ?ub_bytes t compiled =
   let views =
     Array.map
       (fun e ->
-        Pmv.Manager.create_view ?policy ?f_max ?capacity ?ub_bytes ?adaptive
-          (Engine.manager e) compiled)
+        Pmv.Manager.create_view ?policy ?f_max ?capacity ?ub_bytes (Engine.manager e)
+          compiled)
       t.shards
   in
   (* Router-level probe cache: one segment per shard, each sized like a

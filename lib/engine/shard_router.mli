@@ -139,7 +139,6 @@ val create_view :
   ?f_max:int ->
   ?capacity:int ->
   ?ub_bytes:int ->
-  ?adaptive:bool ->
   t ->
   Minirel_query.Template.compiled ->
   Pmv.View.t array

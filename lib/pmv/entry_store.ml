@@ -46,10 +46,6 @@ type entry = {
   mutable refs : int;  (* lifetime references; feeds popularity ranking *)
   published : version Atomic.t;
   mutable e_agg : agg_cache option;
-  mutable e_lapsed : bool;
-      (* a light-key delta skipped this entry's maintenance: its cached
-         tuples may be stale and must be purged before the next serve
-         (DESIGN.md Section 17) *)
 }
 
 let agg_fold ac tuple =
@@ -102,8 +98,6 @@ type t = {
   f_max : int;
   mutable n_tuples : int;
   mutable tuple_bytes : int;
-  mutable lapse_marked : int;  (* entries marked lapsed by light-key deltas *)
-  mutable lapse_recomputed : int;  (* lapsed entries purged at reference time *)
   mutable on_change : change -> Bcp.t -> Tuple.t -> unit;
   (* Lock-free read side. [stamp] is the data staleness clock: any
      relevant base delta bumps it, untrusting every complete version
@@ -153,7 +147,6 @@ let new_entry t bcp =
         Atomic.make
           { v_tuples = []; v_n = 0; v_complete = false; v_stamp = Atomic.get t.stamp };
       e_agg = None;
-      e_lapsed = false;
     }
   in
   Bcp.Table.replace t.table bcp entry;
@@ -169,8 +162,6 @@ let create ?(policy = Minirel_cache.Policies.Clock) ~capacity ~f_max () =
       f_max;
       n_tuples = 0;
       tuple_bytes = 0;
-      lapse_marked = 0;
-      lapse_recomputed = 0;
       on_change = (fun _ _ _ -> ());
       stamp = Atomic.make 1;
       epoch = Minirel_parallel.Epoch.create ();
@@ -256,59 +247,6 @@ let shutdown t = ignore (Minirel_parallel.Epoch.drain t.epoch)
 
 (* ---- Write side (engine-serialized, behind the X discipline) ----- *)
 
-(* ---- Lapse protocol (DESIGN.md Section 17) ----------------------- *)
-
-let c_lapsed = Minirel_telemetry.Telemetry.counter "maint.lapsed"
-let c_recompute = Minirel_telemetry.Telemetry.counter "maint.recompute"
-
-(* A light-key delta elected to skip victim maintenance for [bcp]: mark
-   its entry lapsed instead of removing tuples. The entry keeps its
-   residency slot (and its auxiliary-index postings, still a
-   conservative victim superset) but may no longer serve cached tuples
-   until purged. Returns whether a fresh mark happened. *)
-let mark_lapsed t bcp =
-  match Bcp.Table.find_opt t.table bcp with
-  | None -> false
-  | Some entry ->
-      if entry.e_lapsed then false
-      else begin
-        entry.e_lapsed <- true;
-        t.lapse_marked <- t.lapse_marked + 1;
-        if Minirel_telemetry.Telemetry.is_enabled () then
-          Minirel_telemetry.Registry.incr c_lapsed;
-        Minirel_telemetry.Flight.record Maint_lapse ~a:entry.n;
-        true
-      end
-
-(* Recompute-on-probe: before a lapsed entry is served or refilled, its
-   possibly-stale tuples are dropped (through [on_change], keeping the
-   auxiliary indexes in step) and the entry starts over empty — the
-   following Operation O3 refills it from base truth. Runs under the
-   same engine serialization as every other entry mutation. *)
-let purge_lapsed t entry =
-  if entry.e_lapsed then begin
-    t.n_tuples <- t.n_tuples - entry.n;
-    List.iter
-      (fun tuple ->
-        t.tuple_bytes <- t.tuple_bytes - Tuple.size_bytes tuple;
-        t.on_change Removed entry.e_bcp tuple)
-      entry.tuples;
-    let dropped = entry.n in
-    entry.tuples <- [];
-    entry.n <- 0;
-    entry.e_agg <- None;
-    entry.e_lapsed <- false;
-    t.lapse_recomputed <- t.lapse_recomputed + 1;
-    if Minirel_telemetry.Telemetry.is_enabled () then
-      Minirel_telemetry.Registry.incr c_recompute;
-    Minirel_telemetry.Flight.record Maint_recompute ~a:dropped;
-    publish ~complete:false t entry
-  end
-
-let is_lapsed entry = entry.e_lapsed
-let n_lapse_marked t = t.lapse_marked
-let n_lapse_recomputed t = t.lapse_recomputed
-
 (* One query-time reference of [bcp] (Operation O2).
 
    - [`Resident]: the entry is in the PMV; serve its tuples.
@@ -325,9 +263,6 @@ let reference t bcp =
       match Bcp.Table.find_opt t.table bcp with
       | Some entry ->
           entry.refs <- entry.refs + 1;
-          (* recompute-on-probe: a lapsed entry must never serve its
-             possibly-stale tuples; it restarts empty and O3 refills *)
-          purge_lapsed t entry;
           `Resident entry
       | None ->
           (* policy and table out of sync: impossible by construction *)
@@ -341,9 +276,7 @@ let reference t bcp =
 let admit_for_fill t bcp =
   Minirel_cache.Policy.admit t.policy bcp;
   match Bcp.Table.find_opt t.table bcp with
-  | Some entry ->
-      purge_lapsed t entry;
-      entry
+  | Some entry -> entry
   | None -> new_entry t bcp
 
 (* Cache one result tuple under [entry] (Operation O3), respecting the

@@ -39,9 +39,6 @@ type entry = {
   published : version Atomic.t;  (** current immutable snapshot *)
   mutable e_agg : agg_cache option;
       (** grouped-aggregate memo; [None] until a grouped probe *)
-  mutable e_lapsed : bool;
-      (** a light-key delta skipped this entry's maintenance; purged
-          before its next serve (DESIGN.md Section 17) *)
 }
 
 type change = Added | Removed
@@ -143,23 +140,6 @@ val remove_matching : t -> (Tuple.t -> bool) -> int
 
 (** Drop an entry and its residency entirely. *)
 val drop_entry : t -> Bcp.t -> unit
-
-(** {2 Lapse protocol (heavy-light adaptive maintenance)} *)
-
-(** Mark [bcp]'s entry lapsed instead of removing its victims: the
-    entry keeps its slot but its cached tuples may be stale, and they
-    are purged (through [on_change]) the next time the entry is
-    referenced or refilled — recompute-on-probe. [true] on a fresh
-    mark, [false] when absent or already lapsed. *)
-val mark_lapsed : t -> Bcp.t -> bool
-
-val is_lapsed : entry -> bool
-
-(** Lifetime lapse marks / reference-time recomputes (the
-    [maint.lapsed] / [maint.recompute] telemetry). *)
-val n_lapse_marked : t -> int
-
-val n_lapse_recomputed : t -> int
 
 val iter : t -> (entry -> unit) -> unit
 val fold : t -> ('a -> entry -> 'a) -> 'a -> 'a

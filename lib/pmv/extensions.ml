@@ -263,10 +263,7 @@ let probe_groups ?(probe_path = Answer.Locked) ~view instance ~key ~aggs =
             match Entry_store.find store bcp with
             | None -> None
             | Some entry ->
-                if
-                  Entry_store.is_lapsed entry
-                  || not
-                       (Entry_store.version_trusted store (Atomic.get entry.published))
+                if not (Entry_store.version_trusted store (Atomic.get entry.published))
                 then None
                 else
                   let part =
@@ -336,8 +333,7 @@ let cached_witness ?(probe_path = Answer.Locked) ~view instance =
   match probe_path with
     | Answer.Locked ->
         (* a cached tuple is a valid witness only while no relevant
-           delta is waiting in deferred maintenance and its entry has
-           not lapsed (a lapsed entry's tuples may be stale) *)
+           delta is waiting in deferred maintenance *)
         let store = View.store view in
         View.pending_deltas view = []
         && List.exists
@@ -345,10 +341,9 @@ let cached_witness ?(probe_path = Answer.Locked) ~view instance =
                match Entry_store.find store (Condition_part.bcp cp) with
                | None -> false
                | Some entry ->
-                   (not (Entry_store.is_lapsed entry))
-                   && List.exists
-                        (fun tuple -> Condition_part.check compiled cp tuple)
-                        entry.Entry_store.tuples)
+                   List.exists
+                     (fun tuple -> Condition_part.check compiled cp tuple)
+                     entry.Entry_store.tuples)
              cps
     | Answer.Epoch ->
         (* lock-free: only a trusted complete version proves freshness *)

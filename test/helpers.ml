@@ -106,3 +106,9 @@ let collect_plain catalog instance =
   let out = ref [] in
   let stats = Pmv.Answer.answer_plain catalog instance ~on_tuple:(fun _ t -> out := t :: !out) in
   (!out, stats)
+
+(* Whether [needle] occurs in [hay]. *)
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0

@@ -175,6 +175,40 @@ let prop_clock_eviction_consistency =
       Hashtbl.length resident = Policy.size p
       && Hashtbl.fold (fun k () ok -> ok && Policy.mem p k) resident true)
 
+(* Budget-arbiter capacity changes: every policy shrinks to the new
+   bound through its eviction callback and grows without evicting. *)
+let test_policy_resize () =
+  List.iter
+    (fun (label, (create : capacity:int -> int Policy.t)) ->
+      let p = create ~capacity:8 in
+      let evicted = ref [] in
+      Policy.set_on_evict p (fun k -> evicted := k :: !evicted);
+      for k = 1 to 8 do
+        Policy.admit p k;
+        (* a second touch promotes staged keys under the 2Q variants *)
+        ignore (Policy.reference p k)
+      done;
+      let before = Policy.size p in
+      Policy.resize p 3;
+      check Alcotest.int (label ^ ": capacity follows") 3 (Policy.capacity p);
+      check Alcotest.bool (label ^ ": shrunk to bound") true (Policy.size p <= 3);
+      check Alcotest.bool (label ^ ": eviction callback saw the victims") true
+        (List.length !evicted >= before - 3);
+      Policy.resize p 10;
+      check Alcotest.int (label ^ ": grow raises the bound") 10 (Policy.capacity p);
+      check Alcotest.bool (label ^ ": grow evicts nothing") true (Policy.size p <= 3);
+      check Alcotest.bool (label ^ ": rejects non-positive") true
+        (match Policy.resize p 0 with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [
+      ("clock", Minirel_cache.Clock.create);
+      ("lru", Minirel_cache.Lru.create);
+      ("fifo", Minirel_cache.Fifo.create);
+      ("2q", Minirel_cache.Two_q.create);
+      ("2q-full", Minirel_cache.Two_q_full.create);
+    ]
+
 let suite =
   [
     Alcotest.test_case "clock basics" `Quick test_clock_basics;
@@ -185,6 +219,7 @@ let suite =
     Alcotest.test_case "fifo ignores recency" `Quick test_fifo_order;
     Alcotest.test_case "full 2q" `Quick test_two_q_full;
     Alcotest.test_case "stats" `Quick test_stats;
+    Alcotest.test_case "policy resize across all policies" `Quick test_policy_resize;
     QCheck_alcotest.to_alcotest prop_capacity_never_exceeded;
     QCheck_alcotest.to_alcotest prop_lru_matches_model;
     QCheck_alcotest.to_alcotest prop_clock_eviction_consistency;

@@ -265,6 +265,43 @@ let test_serializability_conflict () =
   check Alcotest.bool "consistent afterwards" true
     (Helpers.same_multiset got (Helpers.brute_force_answer catalog inst))
 
+(* A delta queued behind a reader's S lock must clear [n_pending] when
+   flushed, under either removal strategy, and answers stay exact. *)
+let test_flush_pending_drains () =
+  List.iter
+    (fun strategy ->
+      let catalog = Helpers.fresh_catalog () in
+      Helpers.build_rs catalog;
+      let c = Template.compile catalog Helpers.eqt_spec in
+      let view = View.create ~capacity:20 ~f_max:2 ~name:"flush" c in
+      let mgr = Txn.create catalog in
+      Pmv.Maintain.attach ~strategy ~use_locks:true view mgr;
+      let locks = Minirel_txn.Txn.locks mgr in
+      let inst = Instance.make c [| Instance.Dvalues [ vi 1 ]; Instance.Dvalues [ vi 1 ] |] in
+      let _ = Helpers.collect_answer ~view catalog inst in
+      check Alcotest.bool "warmed" true (View.n_tuples view > 0);
+      let pending_inside = ref (-1) and fired = ref false in
+      let _ =
+        Pmv.Answer.answer ~locks ~txn:7 ~view catalog inst ~on_tuple:(fun _ _ ->
+            if not !fired then begin
+              fired := true;
+              ignore
+                (Txn.run mgr
+                   [ Txn.Delete { rel = "s"; pred = Predicate.Cmp (Predicate.Eq, 1, vi 1) } ]);
+              pending_inside := Pmv.Maintain.n_pending view
+            end)
+      in
+      check Alcotest.int "delta queued behind the S lock" 1 !pending_inside;
+      Pmv.Maintain.flush_pending ~strategy view mgr;
+      check Alcotest.int "flush clears the queue" 0 (Pmv.Maintain.n_pending view);
+      let got, _, _ = Helpers.collect_answer ~view catalog inst in
+      check Alcotest.bool "exact after flush" true
+        (Helpers.same_multiset got (Helpers.brute_force_answer catalog inst));
+      check Alcotest.bool "answers keep coming exact" true
+        (let got2, _, _ = Helpers.collect_answer ~view catalog inst in
+         Helpers.same_multiset got2 (Helpers.brute_force_answer catalog inst)))
+    [ Pmv.Maintain.Aux_index; Pmv.Maintain.Delta_join ]
+
 let test_buffer_pool_two_q () =
   (* the buffer pool under ghost-staging 2Q: first touch misses and
      stages, second touch misses and promotes, third hits *)
@@ -282,6 +319,7 @@ let suite =
   [
     Alcotest.test_case "vacuum" `Quick test_vacuum;
     Alcotest.test_case "serializability conflict (3.6)" `Quick test_serializability_conflict;
+    Alcotest.test_case "flush_pending drains queued delta" `Quick test_flush_pending_drains;
     Alcotest.test_case "buffer pool under 2q" `Quick test_buffer_pool_two_q;
     Alcotest.test_case "answer stats fields" `Quick test_answer_stats_fields;
     Alcotest.test_case "cold run charges io" `Quick test_cold_run_charges_io;

@@ -113,6 +113,49 @@ let test_detach_then_stale () =
   let _, _, st3 = Helpers.collect_answer ~view catalog inst in
   check Alcotest.int "stable afterwards" 0 st3.Pmv.Answer.stale_purged
 
+(* The oracle's negative path: [Check.check_view] must report, not only
+   stay silent. A cached tuple whose base row is gone (maintenance
+   detached) and a tuple filed under a foreign bcp are both named. *)
+let test_oracle_reports_violations () =
+  let module Check = Minirel_check.Check in
+  let catalog = Helpers.fresh_catalog () in
+  Helpers.build_rs catalog;
+  let c = Template.compile catalog Helpers.eqt_spec in
+  let reports sub violations = List.exists (fun v -> Helpers.contains v sub) violations in
+  (* stale: warm an entry, detach maintenance, delete its base rows *)
+  let view = View.create ~capacity:20 ~f_max:3 ~name:"stale" c in
+  let mgr = Txn.create catalog in
+  Pmv.Maintain.attach ~use_locks:false view mgr;
+  let inst = Instance.make c [| Instance.Dvalues [ vi 1 ]; Instance.Dvalues [ vi 1 ] |] in
+  ignore (Helpers.collect_answer ~view catalog inst);
+  check Alcotest.bool "warmed" true (View.n_tuples view > 0);
+  check (Alcotest.list Alcotest.string) "clean while maintained" []
+    (Check.check_view view catalog);
+  Pmv.Maintain.detach view mgr;
+  ignore (Txn.run mgr [ Txn.Delete { rel = "s"; pred = Predicate.Cmp (Predicate.Eq, 1, vi 1) } ]);
+  check Alcotest.bool "stale cached tuple reported" true
+    (reports "stale cached tuple" (Check.check_view view catalog));
+  (* misfiled: plant an MV tuple under a bcp that is not its home *)
+  let view = View.create ~capacity:20 ~f_max:3 ~name:"misfiled" c in
+  let store = View.store view in
+  match Check.full_mv catalog c with
+  | [] -> Alcotest.fail "empty MV"
+  | tuple :: rest -> (
+      let home = Condition_part.bcp_of_result c tuple in
+      match
+        List.find_opt
+          (fun t -> not (Bcp.equal (Condition_part.bcp_of_result c t) home))
+          rest
+      with
+      | None -> Alcotest.fail "MV has a single bcp"
+      | Some other ->
+          let entry =
+            Pmv.Entry_store.admit_for_fill store (Condition_part.bcp_of_result c other)
+          in
+          check Alcotest.bool "planted" true (Pmv.Entry_store.add_tuple store entry tuple);
+          check Alcotest.bool "misfiled tuple reported" true
+            (reports "filed under bcp" (Check.check_view view catalog)))
+
 let suite =
   [
     Alcotest.test_case "ds multiset" `Quick test_ds_multiset;
@@ -120,4 +163,6 @@ let suite =
       test_stale_purge_without_maintenance;
     Alcotest.test_case "self eviction at tiny capacity" `Quick test_self_eviction_tiny_capacity;
     Alcotest.test_case "detach then stale" `Quick test_detach_then_stale;
+    Alcotest.test_case "oracle reports planted violations" `Quick
+      test_oracle_reports_violations;
   ]

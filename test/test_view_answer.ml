@@ -207,6 +207,74 @@ let test_consistency_under_maintenance strategy () =
     ((View.stats view).View.skipped_inserts > 0);
   check Alcotest.bool "invariants" true (View.invariants_ok view)
 
+(* Differential: two identical engines, one maintained through the
+   auxiliary indexes and one through the delta join, replay the same
+   delete and relevant-update churn; every instance must answer exactly
+   like brute force on both, under both probe paths, and both views
+   must pass the oracle's deep check. *)
+let test_aux_index_matches_delta_join () =
+  let build strategy =
+    let catalog, c, view = setup ~capacity:30 ~f_max:3 () in
+    let mgr = Txn.create catalog in
+    Maintain.attach ~strategy ~use_locks:false view mgr;
+    (Maintain.strategy_to_string strategy, catalog, c, view, mgr)
+  in
+  let engines = [ build Maintain.Aux_index; build Maintain.Delta_join ] in
+  let inst c f g = Instance.make c [| Instance.Dvalues [ vi f ]; Instance.Dvalues [ vi g ] |] in
+  let grid f =
+    for f' = 0 to 4 do
+      for g = 0 to 3 do
+        f f' g
+      done
+    done
+  in
+  (* warm both views over the same probe grid *)
+  grid (fun f g ->
+      List.iter
+        (fun (_, catalog, c, view, _) ->
+          ignore (Helpers.collect_answer ~view catalog (inst c f g)))
+        engines);
+  let churn =
+    [
+      Txn.Delete { rel = "s"; pred = Predicate.Cmp (Predicate.Eq, 1, vi 1) };
+      Txn.Delete { rel = "s"; pred = Predicate.Cmp (Predicate.Eq, 1, vi 2) };
+      Txn.Delete { rel = "r"; pred = Predicate.Cmp (Predicate.Eq, 2, vi 3) };
+      Txn.Update
+        { rel = "r"; pred = Predicate.Cmp (Predicate.Eq, 2, vi 0); set = [ (2, vi 4) ] };
+      Txn.Delete { rel = "s"; pred = Predicate.Cmp (Predicate.Eq, 1, vi 0) };
+    ]
+  in
+  List.iter
+    (fun ch -> List.iter (fun (_, _, _, _, mgr) -> ignore (Txn.run mgr [ ch ])) engines)
+    churn;
+  List.iter
+    (fun (_, catalog, _, view, _) ->
+      check Alcotest.bool "maintenance removed victims" true
+        ((View.stats view).View.maint_removed > 0);
+      check (Alcotest.list Alcotest.string) "oracle clean after churn" []
+        (Minirel_check.Check.check_view view catalog))
+    engines;
+  List.iter
+    (fun probe_path ->
+      grid (fun f g ->
+          List.iter
+            (fun (label, catalog, c, view, _) ->
+              let got = ref [] in
+              let _ =
+                Answer.answer ~probe_path ~view catalog (inst c f g) ~on_tuple:(fun _ t ->
+                    got := t :: !got)
+              in
+              if
+                not
+                  (Helpers.same_multiset !got
+                     (Helpers.brute_force_answer catalog (inst c f g)))
+              then
+                Alcotest.failf "%s (%s): f=%d g=%d diverged from brute force" label
+                  (match probe_path with Answer.Locked -> "locked" | Answer.Epoch -> "epoch")
+                  f g)
+            engines))
+    [ Answer.Locked; Answer.Epoch ]
+
 let test_update_irrelevant_attr_skips_maintenance () =
   let catalog, c, view = setup ~capacity:50 () in
   let mgr = Txn.create catalog in
@@ -283,6 +351,8 @@ let suite =
       (test_consistency_under_maintenance Maintain.Aux_index);
     Alcotest.test_case "consistency (delta-join maintenance)" `Quick
       (test_consistency_under_maintenance Maintain.Delta_join);
+    Alcotest.test_case "aux-index == delta-join answers" `Quick
+      test_aux_index_matches_delta_join;
     Alcotest.test_case "irrelevant updates skipped" `Quick
       test_update_irrelevant_attr_skips_maintenance;
     Alcotest.test_case "hot pattern hits" `Quick test_hit_ratio_grows_on_hot_pattern;

@@ -2,7 +2,7 @@
 # Diff fresh bench JSON against the committed (HEAD) baselines so a
 # probe-bound serving regression cannot land silently.
 #
-# Usage: tools/bench_diff.sh [fresh_shard.json [fresh_parallel.json [fresh_observability.json [fresh_shapes.json [fresh_adaptive.json]]]]]
+# Usage: tools/bench_diff.sh [fresh_shard.json [fresh_parallel.json [fresh_observability.json [fresh_shapes.json [fresh_budget.json]]]]]
 #   MAX_BENCH_REGRESSION_PCT=N   allowed regression (default 20)
 #
 # The default margin is set above the measured run-to-run noise floor
@@ -30,7 +30,7 @@ fresh_shard="${1:-BENCH_shard.json}"
 fresh_parallel="${2:-BENCH_parallel.json}"
 fresh_observability="${3:-BENCH_observability.json}"
 fresh_shapes="${4:-BENCH_shapes.json}"
-fresh_adaptive="${5:-BENCH_adaptive.json}"
+fresh_budget="${5:-BENCH_budget.json}"
 status=0
 
 if ! git rev-parse --quiet --verify HEAD >/dev/null 2>&1; then
@@ -278,66 +278,26 @@ else
   echo "bench_diff: no committed BENCH_shapes.json baseline - skipped"
 fi
 
-# ---- adaptive: heavy-light maintenance + budget arbitration ----------
-if git cat-file -e HEAD:BENCH_adaptive.json 2>/dev/null && [ -f "$fresh_adaptive" ]; then
-  base="$tmpdir/adaptive_base.json"
-  git show HEAD:BENCH_adaptive.json >"$base"
-
-  # the post-churn oracle must be clean on any host
-  oracle=$(jget "$fresh_adaptive" oracle_clean)
-  if [ "$oracle" != "true" ]; then
-    echo "bench_diff FAIL: fresh adaptive bench is not oracle-clean after the churn" >&2
-    status=1
-  fi
-
-  # the maintenance speedup divides two same-host hook timings, so it
-  # compares on any host
-  old=$(jget "$base" speedup_adaptive_vs_dj)
-  new=$(jget "$fresh_adaptive" speedup_adaptive_vs_dj)
-  if [ -n "$old" ] && [ -n "$new" ]; then
-    if within "$old" "$new"; then
-      echo "bench_diff: adaptive speedup_adaptive_vs_dj ${old} -> ${new} (ok)"
-    else
-      echo "bench_diff FAIL: adaptive maintenance speedup regressed ${old} -> ${new} (> ${max}%)" >&2
-      status=1
-    fi
-  fi
+# ---- budget: global UB budget arbitration ----------------------------
+if git cat-file -e HEAD:BENCH_budget.json 2>/dev/null && [ -f "$fresh_budget" ]; then
+  base="$tmpdir/budget_base.json"
+  git show HEAD:BENCH_budget.json >"$base"
 
   # the arbitration gain sits near zero, where relative comparison is
   # meaningless; gate it in absolute hit-ratio points (the fresh gain
   # may trail the committed one by at most 0.03, and never go negative)
   old=$(jget "$base" hit_ratio_gain)
-  new=$(jget "$fresh_adaptive" hit_ratio_gain)
+  new=$(jget "$fresh_budget" hit_ratio_gain)
   if [ -n "$old" ] && [ -n "$new" ]; then
     if awk -v o="$old" -v n="$new" 'BEGIN { exit !(n >= 0 && n >= o - 0.03) }'; then
-      echo "bench_diff: adaptive hit_ratio_gain ${old} -> ${new} (ok)"
+      echo "bench_diff: budget hit_ratio_gain ${old} -> ${new} (ok)"
     else
       echo "bench_diff FAIL: budget arbitration gain fell ${old} -> ${new} (negative or > 0.03 below baseline)" >&2
       status=1
     fi
   fi
-
-  # absolute maintenance throughput only compares on the same core count
-  old_cores=$(jget "$base" host_cores)
-  new_cores=$(jget "$fresh_adaptive" host_cores)
-  if [ -n "$old_cores" ] && [ "$old_cores" = "$new_cores" ]; then
-    for key in maint_qps_adaptive maint_qps_dj; do
-      old=$(jget "$base" "$key")
-      new=$(jget "$fresh_adaptive" "$key")
-      if [ -n "$old" ] && [ -n "$new" ]; then
-        if within "$old" "$new"; then
-          echo "bench_diff: adaptive $key ${old} -> ${new} changes/s (ok)"
-        else
-          echo "bench_diff FAIL: adaptive $key regressed ${old} -> ${new} (> ${max}%)" >&2
-          status=1
-        fi
-      fi
-    done
-  else
-    echo "bench_diff: host_cores differ (${old_cores:-?} vs ${new_cores:-?}) - adaptive maint q/s not compared"
-  fi
 else
-  echo "bench_diff: no committed BENCH_adaptive.json baseline - skipped"
+  echo "bench_diff: no committed BENCH_budget.json baseline - skipped"
 fi
 
 exit $status
