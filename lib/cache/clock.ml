@@ -8,9 +8,78 @@
 
 type 'k slot = { mutable key : 'k option; mutable refbit : bool }
 
+(* Key -> slot index. Chained buckets hashed and compared as in a
+   polymorphic Stdlib.Hashtbl, but [find] answers -1 for an absent key:
+   a hit (every resident buffer-pool page access) boxes no option, and
+   a miss raises nothing, which would cost more than the lookup. The
+   bucket count is a power of two that doubles once keys outnumber it
+   twice over. *)
+module Pos = struct
+  type 'k bucket = Nil | Cons of { key : 'k; mutable slot : int; mutable next : 'k bucket }
+  type 'k t = { mutable buckets : 'k bucket array; mutable size : int }
+
+  let create n =
+    let rec pow2 b = if b >= n then b else pow2 (2 * b) in
+    { buckets = Array.make (pow2 16) Nil; size = 0 }
+
+  let index t k = Hashtbl.hash k land (Array.length t.buckets - 1)
+
+  let rec find_in k = function
+    | Nil -> -1
+    | Cons c -> if compare c.key k = 0 then c.slot else find_in k c.next
+
+  let find t k = find_in k t.buckets.(index t k)
+  let mem t k = find t k >= 0
+  let length t = t.size
+
+  let grow t =
+    let old = t.buckets in
+    t.buckets <- Array.make (2 * Array.length old) Nil;
+    let rec reinsert = function
+      | Nil -> ()
+      | Cons c ->
+          let next = c.next in
+          let i = index t c.key in
+          c.next <- t.buckets.(i);
+          t.buckets.(i) <- Cons c;
+          reinsert next
+    in
+    Array.iter reinsert old
+
+  let rec set_in k slot = function
+    | Nil -> false
+    | Cons c -> if compare c.key k = 0 then (c.slot <- slot; true) else set_in k slot c.next
+
+  let replace t k slot =
+    let i = index t k in
+    if not (set_in k slot t.buckets.(i)) then begin
+      t.buckets.(i) <- Cons { key = k; slot; next = t.buckets.(i) };
+      t.size <- t.size + 1;
+      if t.size > 2 * Array.length t.buckets then grow t
+    end
+
+  (* unlink [k]'s cell, writing only the one link that changes *)
+  let rec remove_in t i k prev = function
+    | Nil -> ()
+    | Cons c as b ->
+        if compare c.key k = 0 then begin
+          t.size <- t.size - 1;
+          match prev with Nil -> t.buckets.(i) <- c.next | Cons p -> p.next <- c.next
+        end
+        else remove_in t i k b c.next
+
+  let remove t k =
+    let i = index t k in
+    remove_in t i k Nil t.buckets.(i)
+
+  let iter f t =
+    let rec chain = function Nil -> () | Cons c -> f c.key; chain c.next in
+    Array.iter chain t.buckets
+end
+
 type 'k state = {
   mutable slots : 'k slot array;
-  pos : ('k, int) Hashtbl.t;  (* key -> slot index *)
+  pos : 'k Pos.t;
   mutable hand : int;
   mutable free : int list;  (* empty slot indexes *)
   mutable on_evict : 'k -> unit;
@@ -42,7 +111,7 @@ let evict_at st i =
   | Some k ->
       s.key <- None;
       s.refbit <- false;
-      Hashtbl.remove st.pos k;
+      Pos.remove st.pos k;
       st.stats.Cache_stats.evictions <- st.stats.Cache_stats.evictions + 1;
       st.on_evict k
 
@@ -60,7 +129,7 @@ let admit st k =
   let s = st.slots.(i) in
   s.key <- Some k;
   s.refbit <- true;
-  Hashtbl.replace st.pos k i
+  Pos.replace st.pos k i
 
 (* Rebuild the circular array at the new size. Shrinking first evicts
    by the normal hand sweep until the survivors fit; the rebuild packs
@@ -69,7 +138,7 @@ let admit st k =
 let resize st n =
   let old_n = Array.length st.slots in
   if n <> old_n then begin
-    while Hashtbl.length st.pos > n do
+    while Pos.length st.pos > n do
       evict_at st (find_victim st)
     done;
     let slots = Array.init n (fun _ -> { key = None; refbit = false }) in
@@ -80,7 +149,7 @@ let resize st n =
       | Some k ->
           slots.(!filled).key <- Some k;
           slots.(!filled).refbit <- s.refbit;
-          Hashtbl.replace st.pos k !filled;
+          Pos.replace st.pos k !filled;
           incr filled
       | None -> ()
     done;
@@ -94,43 +163,45 @@ let create ~capacity : 'k Policy.t =
   let st =
     {
       slots = Array.init capacity (fun _ -> { key = None; refbit = false });
-      pos = Hashtbl.create (2 * capacity);
+      pos = Pos.create (2 * capacity);
       hand = 0;
       free = List.init capacity (fun i -> i);
       on_evict = ignore;
       stats = Cache_stats.create ();
     }
   in
-  let mem k = Hashtbl.mem st.pos k in
+  let mem k = Pos.mem st.pos k in
   let reference k =
     st.stats.Cache_stats.references <- st.stats.Cache_stats.references + 1;
-    match Hashtbl.find_opt st.pos k with
-    | Some i ->
-        st.slots.(i).refbit <- true;
-        st.stats.Cache_stats.hits <- st.stats.Cache_stats.hits + 1;
-        `Resident
-    | None ->
-        st.stats.Cache_stats.rejections <- st.stats.Cache_stats.rejections + 1;
-        `Rejected
+    let i = Pos.find st.pos k in
+    if i >= 0 then begin
+      st.slots.(i).refbit <- true;
+      st.stats.Cache_stats.hits <- st.stats.Cache_stats.hits + 1;
+      `Resident
+    end
+    else begin
+      st.stats.Cache_stats.rejections <- st.stats.Cache_stats.rejections + 1;
+      `Rejected
+    end
   in
   let admit k =
-    if not (Hashtbl.mem st.pos k) then begin
+    if not (Pos.mem st.pos k) then begin
       admit st k;
       st.stats.Cache_stats.admissions <- st.stats.Cache_stats.admissions + 1
     end
   in
   let remove k =
-    match Hashtbl.find_opt st.pos k with
-    | None -> ()
-    | Some i ->
-        let s = st.slots.(i) in
-        s.key <- None;
-        s.refbit <- false;
-        Hashtbl.remove st.pos k;
-        st.free <- i :: st.free
+    let i = Pos.find st.pos k in
+    if i >= 0 then begin
+      let s = st.slots.(i) in
+      s.key <- None;
+      s.refbit <- false;
+      Pos.remove st.pos k;
+      st.free <- i :: st.free
+    end
   in
-  let size () = Hashtbl.length st.pos in
-  let iter f = Hashtbl.iter (fun k _ -> f k) st.pos in
+  let size () = Pos.length st.pos in
+  let iter f = Pos.iter f st.pos in
   let set_on_evict f = st.on_evict <- f in
   {
     Policy.name = "clock";

@@ -78,40 +78,15 @@ let label = function
   | Plan.Aggregate _ -> "aggregate"
 
 (* Executor telemetry: cursors opened and tuples produced at plan
-   roots. The executor itself is stateless, so the counters are keyed
-   by catalog (physical identity) — each engine's registry reports only
-   the queries run against that engine's catalog, and resetting one
-   scope leaves the others alone. *)
-type telemetry_counters = { cursors : int Atomic.t; root_tuples : int Atomic.t }
-
-let telemetry_by_catalog :
-    (Minirel_index.Catalog.t * telemetry_counters) list ref =
-  ref []
-
-(* Guards the list above; morsel tasks on the pool open cursors
-   concurrently. The counters themselves are atomic, so only the
-   get-or-create lookup needs the lock. *)
-let telemetry_lock = Mutex.create ()
-
-let telemetry_for catalog =
-  Mutex.lock telemetry_lock;
-  let t =
-    match
-      List.find_opt (fun (c, _) -> c == catalog) !telemetry_by_catalog
-    with
-    | Some (_, t) -> t
-    | None ->
-        let t = { cursors = Atomic.make 0; root_tuples = Atomic.make 0 } in
-        telemetry_by_catalog := (catalog, t) :: !telemetry_by_catalog;
-        t
-  in
-  Mutex.unlock telemetry_lock;
-  t
-
+   roots. The executor itself is stateless, so the counters live on the
+   catalog (Catalog.exec_counters) — each engine's registry reports only
+   the queries run against that engine's catalog, resetting one scope
+   leaves the others alone, and nothing process-global keeps a
+   shut-down engine's catalog alive. *)
 let register_telemetry ?(registry = Minirel_telemetry.Registry.default)
     ?(name = "exec") catalog =
   let module R = Minirel_telemetry.Registry in
-  let t = telemetry_for catalog in
+  let t = Catalog.exec_counters catalog in
   R.register_source registry ~name
     ~reset:(fun () ->
       Atomic.set t.cursors 0;
@@ -509,7 +484,7 @@ let cursor ?par ?profile catalog plan =
   let c = op_cursor ?par ?profile catalog plan in
   if not (Minirel_telemetry.Telemetry.is_enabled ()) then c
   else begin
-    let t = telemetry_for catalog in
+    let t = Catalog.exec_counters catalog in
     ignore (Atomic.fetch_and_add t.cursors 1);
     fun () ->
       match c () with

@@ -8,16 +8,29 @@ type rel = {
   mutable indexes : Index.t list;
 }
 
+type exec_counters = { cursors : int Atomic.t; root_tuples : int Atomic.t }
+
 type t = {
   pool : Minirel_storage.Buffer_pool.t;
   rels : (string, rel) Hashtbl.t;
   mutable version : int;  (* bumped on index DDL; plan caches validate against it *)
+  (* The executor is stateless, so its per-engine counters ride on the
+     catalog they count: a cursor open finds them without a lookup, and
+     they are collected with the catalog when its engine goes away. *)
+  exec_counters : exec_counters;
 }
 
-let create pool = { pool; rels = Hashtbl.create 16; version = 0 }
+let create pool =
+  {
+    pool;
+    rels = Hashtbl.create 16;
+    version = 0;
+    exec_counters = { cursors = Atomic.make 0; root_tuples = Atomic.make 0 };
+  }
 
 let pool t = t.pool
 let version t = t.version
+let exec_counters t = t.exec_counters
 
 let create_relation t ?slots_per_page schema =
   let name = schema.Minirel_storage.Schema.name in

@@ -8,6 +8,14 @@ type t
 val create : Minirel_storage.Buffer_pool.t -> t
 val pool : t -> Minirel_storage.Buffer_pool.t
 
+(** The executor's counters for queries run against this catalog: root
+    cursors opened and tuples produced at plan roots. They belong to
+    the catalog, so each engine counts its own queries and a shut-down
+    engine's counters are collected with its catalog. *)
+type exec_counters = { cursors : int Atomic.t; root_tuples : int Atomic.t }
+
+val exec_counters : t -> exec_counters
+
 (** Monotonic counter bumped by every index DDL operation
     ([create_index], [drop_index], [vacuum]). Plan caches compare it to
     decide whether a compiled skeleton still matches the physical

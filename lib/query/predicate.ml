@@ -27,11 +27,18 @@ let rec eval p (tuple : Tuple.t) =
       | Le -> c <= 0
       | Gt -> c > 0
       | Ge -> c >= 0)
-  | In_set (pos, vs) -> List.exists (Value.equal tuple.(pos)) vs
+  | In_set (pos, vs) -> mem_value tuple.(pos) vs
   | In_interval (pos, iv) -> Interval.contains iv tuple.(pos)
-  | And ps -> List.for_all (fun p -> eval p tuple) ps
-  | Or ps -> List.exists (fun p -> eval p tuple) ps
+  | And ps -> eval_all ps tuple
+  | Or ps -> eval_any ps tuple
   | Not p -> not (eval p tuple)
+
+(* Per-row filter path: explicit recursion instead of List.exists /
+   List.for_all, whose partial applications and closures would allocate
+   on every evaluated row. *)
+and mem_value v = function [] -> false | x :: xs -> Value.equal v x || mem_value v xs
+and eval_all ps tuple = match ps with [] -> true | p :: ps -> eval p tuple && eval_all ps tuple
+and eval_any ps tuple = match ps with [] -> false | p :: ps -> eval p tuple || eval_any ps tuple
 
 (* Shift every position by [delta]; used when a per-relation predicate is
    applied to a joined tuple where the relation starts at offset delta. *)

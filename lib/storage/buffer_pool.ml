@@ -7,7 +7,12 @@
    without charging a read (covers appends); a read miss charges one
    read; evicting or flushing a dirty page charges one write. *)
 
-type key = int * int (* file id, page number *)
+type key = int (* file lsl page_bits lor page *)
+
+let page_bits = 32
+let max_files = 1 lsl (Sys.int_size - 1 - page_bits)
+let key ~file ~page = (file lsl page_bits) lor page
+let file_of_key key = key lsr page_bits
 
 type t = {
   policy : key Minirel_cache.Policy.t;
@@ -78,6 +83,7 @@ let locked t f =
 let register_file t =
   locked t (fun () ->
       let id = t.next_file_id in
+      if id >= max_files then invalid_arg "Buffer_pool.register_file: out of file ids";
       t.next_file_id <- id + 1;
       id)
 
@@ -87,20 +93,26 @@ let access t ~file ~page ~mode =
   (match mode with
   | `Read -> Minirel_fault.Fault.hit_in t.fault "bufferpool.read"
   | `Write -> Minirel_fault.Fault.hit_in t.fault "bufferpool.write");
-  let key = (file, page) in
-  locked t (fun () ->
-      (match Minirel_cache.Policy.reference t.policy key with
-      | `Resident -> ()
-      | `Admitted ->
-          (* 2Q ghost promotion: the page was not held, so it is fetched now *)
-          (match mode with `Read -> Io_stats.add_read t.stats | `Write -> ())
-      | `Rejected ->
-          (* miss: fetch (reads only; a write miss models an append) and,
-             for policies that admit on fill, make the page resident *)
-          (match mode with `Read -> Io_stats.add_read t.stats | `Write -> ());
-          if Minirel_cache.Policy.admit_on_fill t.policy then
-            Minirel_cache.Policy.admit t.policy key);
-      match mode with `Write -> Hashtbl.replace t.dirty key () | `Read -> ())
+  if page < 0 || page lsr page_bits <> 0 then
+    invalid_arg "Buffer_pool.access: page outside [0, 2^32)";
+  let key = key ~file ~page in
+  (* per-page path: the body cannot raise (the policies and the
+     eviction callback only update tables and counters), so skip the
+     Fun.protect closure and pair the lock/unlock directly *)
+  Mutex.lock t.lock;
+  (match Minirel_cache.Policy.reference t.policy key with
+  | `Resident -> ()
+  | `Admitted ->
+      (* 2Q ghost promotion: the page was not held, so it is fetched now *)
+      (match mode with `Read -> Io_stats.add_read t.stats | `Write -> ())
+  | `Rejected ->
+      (* miss: fetch (reads only; a write miss models an append) and,
+         for policies that admit on fill, make the page resident *)
+      (match mode with `Read -> Io_stats.add_read t.stats | `Write -> ());
+      if Minirel_cache.Policy.admit_on_fill t.policy then
+        Minirel_cache.Policy.admit t.policy key);
+  (match mode with `Write -> Hashtbl.replace t.dirty key () | `Read -> ());
+  Mutex.unlock t.lock
 
 let flush t =
   locked t (fun () ->
@@ -108,14 +120,17 @@ let flush t =
       Hashtbl.reset t.dirty)
 
 (* Drop every resident page of [file], without write-back accounting;
-   used when a relation is rebuilt from scratch. *)
+   used when a relation is rebuilt. The removal order decides which
+   freed CLOCK slot later admissions reuse, so it is fixed here
+   (descending page, i.e. slots handed back in ascending page order)
+   rather than left to the policy's hash-table layout. *)
 let invalidate_file t ~file =
   locked t (fun () ->
       let doomed = ref [] in
-      Minirel_cache.Policy.iter t.policy (fun ((f, _) as key) ->
-          if f = file then doomed := key :: !doomed);
+      Minirel_cache.Policy.iter t.policy (fun key ->
+          if file_of_key key = file then doomed := key :: !doomed);
       List.iter
         (fun key ->
           Minirel_cache.Policy.remove t.policy key;
           Hashtbl.remove t.dirty key)
-        !doomed)
+        (List.sort (fun a b -> Int.compare b a) !doomed))

@@ -27,11 +27,14 @@ val capacity : t -> int
 (** Number of currently resident pages. *)
 val resident : t -> int
 
-(** Allocate a fresh file id for a heap file or a simulated index file. *)
+(** Allocate a fresh file id for a heap file or a simulated index file.
+    @raise Invalid_argument once 2^30 ids have been handed out. *)
 val register_file : t -> int
 
 (** Record one page access, charging I/O on a miss and marking the page
-    dirty on writes. *)
+    dirty on writes. An access to a resident page allocates nothing
+    while the fault registry is disabled.
+    @raise Invalid_argument if [page] lies outside \[0, 2^32). *)
 val access : t -> file:int -> page:int -> mode:[ `Read | `Write ] -> unit
 
 (** Write back every dirty page (one write charge each). *)

@@ -13,23 +13,34 @@ let of_list = Array.of_list
 let equal (a : t) (b : t) =
   Array.length a = Array.length b && Array.for_all2 Value.equal a b
 
-let compare (a : t) (b : t) =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la && i >= lb then 0
-    else if i >= la then -1
-    else if i >= lb then 1
-    else
-      let c = Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+(* Every B-tree descent, sort and bcp compare lands here, so the loop
+   is a top-level function: a local [go] would allocate a closure over
+   [a] and [b] per call. *)
+let rec compare_from (a : t) (b : t) i =
+  if i >= Array.length a then if i >= Array.length b then 0 else -1
+  else if i >= Array.length b then 1
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
+
+let compare a b = compare_from a b 0
 
 let hash (t : t) =
   Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 
-(* Project onto the given positions, in order. *)
-let project (t : t) positions = Array.map (fun i -> t.(i)) positions
+(* Project onto the given positions, in order. Closure-free: the
+   result is the only allocation (two words for a one-position INLJ
+   probe key). *)
+let project (t : t) positions : t =
+  let n = Array.length positions in
+  if n = 0 then [||]
+  else begin
+    let r = Array.make n t.(positions.(0)) in
+    for j = 1 to n - 1 do
+      r.(j) <- t.(positions.(j))
+    done;
+    r
+  end
 
 let concat (a : t) (b : t) : t = Array.append a b
 

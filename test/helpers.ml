@@ -14,6 +14,22 @@ let tuples =
 let same_multiset a b =
   List.equal Tuple.equal (List.sort Tuple.compare a) (List.sort Tuple.compare b)
 
+(* Per-row paths must not allocate: after one warm-up call (one-time
+   setup stays outside the window), 100k calls of [f] must add fewer
+   than 256 minor words, which only the two counter reads' boxing may
+   use. *)
+let check_alloc_free what f =
+  f ();
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    f ()
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.check Alcotest.bool
+    (Printf.sprintf "%s allocates nothing (%.0f words)" what (w2 -. w1))
+    true
+    (w2 -. w1 < 256.0)
+
 let fresh_catalog ?(pool_pages = 10_000) () =
   let pool = Buffer_pool.create ~capacity:pool_pages () in
   Catalog.create pool

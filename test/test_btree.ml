@@ -94,6 +94,17 @@ let test_visit_hook () =
   ignore (Btree.find t (key 100));
   check Alcotest.int "visits = height" (Btree.height t) !visits
 
+let test_find_no_alloc () =
+  (* a hit descends with Tuple.compare on every node: closure-free *)
+  let t = Btree.create ~b:2 () in
+  let ck i : Tuple.t = [| Value.Int (i mod 7); Value.Str (string_of_int i) |] in
+  for i = 1 to 500 do
+    Btree.insert t (ck i) (rid i)
+  done;
+  let k = ck 250 in
+  check Alcotest.int "hit" 1 (List.length (Btree.find t k));
+  Helpers.check_alloc_free "a B-tree find hit" (fun () -> ignore (Btree.find t k))
+
 (* Model-based qcheck: random insert/delete interleavings must agree
    with a sorted association list, and structural invariants must hold. *)
 let prop_vs_model =
@@ -194,6 +205,7 @@ let suite =
     Alcotest.test_case "range scans" `Quick test_range;
     Alcotest.test_case "composite keys" `Quick test_composite_keys;
     Alcotest.test_case "visit hook" `Quick test_visit_hook;
+    Alcotest.test_case "find allocation-free" `Quick test_find_no_alloc;
     QCheck_alcotest.to_alcotest prop_vs_model;
     QCheck_alcotest.to_alcotest prop_range_vs_model;
   ]

@@ -175,6 +175,30 @@ let prop_clock_eviction_consistency =
       Hashtbl.length resident = Policy.size p
       && Hashtbl.fold (fun k () ok -> ok && Policy.mem p k) resident true)
 
+(* CLOCK's key -> slot index starts at 16 buckets for capacity 4; a
+   raised bound must grow it (past twice its buckets, three times here)
+   without losing keys, and removals must unlink exactly their key. *)
+let test_clock_index_growth () =
+  let p = Minirel_cache.Clock.create ~capacity:4 in
+  Policy.resize p 200;
+  for k = 0 to 199 do
+    Policy.admit p (k * 7919)
+  done;
+  let keys = List.init 200 (fun k -> k * 7919) in
+  check Alcotest.int "all resident" 200 (Policy.size p);
+  check Alcotest.bool "every key found" true (List.for_all (Policy.mem p) keys);
+  List.iter (fun k -> if k mod 3 = 0 then Policy.remove p k) keys;
+  let kept = List.filter (fun k -> k mod 3 <> 0) keys in
+  check Alcotest.int "size after removals" (List.length kept) (Policy.size p);
+  check Alcotest.bool "membership follows removals" true
+    (List.for_all (fun k -> Policy.mem p k = (k mod 3 <> 0)) keys);
+  let seen = ref [] in
+  Policy.iter p (fun k -> seen := k :: !seen);
+  check Alcotest.(list int) "iter visits exactly the resident keys" kept
+    (List.sort compare !seen);
+  check Alcotest.bool "a resident key hits" true (Policy.reference p 7919 = `Resident);
+  check Alcotest.bool "a removed key misses" true (Policy.reference p 0 = `Rejected)
+
 (* Budget-arbiter capacity changes: every policy shrinks to the new
    bound through its eviction callback and grows without evicting. *)
 let test_policy_resize () =
@@ -220,6 +244,7 @@ let suite =
     Alcotest.test_case "full 2q" `Quick test_two_q_full;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "policy resize across all policies" `Quick test_policy_resize;
+    Alcotest.test_case "clock slot index grows and unlinks" `Quick test_clock_index_growth;
     QCheck_alcotest.to_alcotest prop_capacity_never_exceeded;
     QCheck_alcotest.to_alcotest prop_lru_matches_model;
     QCheck_alcotest.to_alcotest prop_clock_eviction_consistency;

@@ -150,11 +150,45 @@ let test_shutdown_reclaims_versions () =
       [ Pmv.View.store v; Pmv.View.probe_store v ]
   done
 
+let live_words () =
+  Gc.compact ();
+  (Gc.stat ()).Gc.live_words
+
+let test_shutdown_releases_catalog () =
+  (* nothing process-global may keep a shut-down engine's catalog
+     alive: four create/answer/shutdown cycles leave the live heap
+     where one cycle left it, far below one engine's footprint *)
+  let cycle () =
+    let e = Engine.scoped () in
+    Helpers.build_rs ~n_r:20_000 (Engine.catalog e);
+    let c = eqt e in
+    ignore (Engine.ensure_view ~capacity:50 e c);
+    for f = 0 to 3 do
+      ignore (collect e (inst c ~f ~g:f))
+    done;
+    let footprint = live_words () in
+    Engine.shutdown e;
+    footprint
+  in
+  let base = live_words () in
+  let engine = cycle () - base in
+  let after_one = live_words () in
+  for _ = 2 to 4 do
+    ignore (cycle ())
+  done;
+  let after_four = live_words () in
+  check Alcotest.bool
+    (Fmt.str "live heap flat across cycles (one engine %d words; after 1: %d, after 4: %d)"
+       engine after_one after_four)
+    true
+    (after_four - after_one < engine / 4)
+
 let suite =
   [
     Alcotest.test_case "answer matches oracle" `Quick test_answer_matches_oracle;
     Alcotest.test_case "shutdown reclaims version chains" `Quick
       test_shutdown_reclaims_versions;
+    Alcotest.test_case "shutdown releases the catalog" `Quick test_shutdown_releases_catalog;
     Alcotest.test_case "independent failpoints" `Quick test_independent_failpoints;
     Alcotest.test_case "independent fault seeds" `Quick test_independent_seeds;
     Alcotest.test_case "independent telemetry" `Quick test_independent_telemetry;

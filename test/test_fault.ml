@@ -106,19 +106,7 @@ let test_disable_suspends () =
 let test_disabled_no_alloc () =
   with_clean @@ fun () ->
   Fault.arm "t.cold" Fault.Always;
-  (* warm up so any one-time setup is outside the measured window *)
-  ignore (Fault.fire "t.cold");
-  let w1 = Gc.minor_words () in
-  for _ = 1 to 100_000 do
-    ignore (Fault.fire "t.cold")
-  done;
-  let w2 = Gc.minor_words () in
-  (* boxing of the two counter reads costs a few words; 100k probes
-     must not add to that *)
-  check Alcotest.bool
-    (Printf.sprintf "disabled probes allocate nothing (%.0f words)" (w2 -. w1))
-    true
-    (w2 -. w1 < 256.0);
+  Helpers.check_alloc_free "a disabled probe" (fun () -> ignore (Fault.fire "t.cold"));
   check Alcotest.int "no hits recorded while disabled" 0 (Fault.hits "t.cold")
 
 let suite =

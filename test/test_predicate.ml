@@ -53,10 +53,16 @@ let test_conj () =
   let p = Cmp (Eq, 0, vi 5) in
   check Alcotest.bool "conj singleton unwraps" true (conj [ p ] = p)
 
+let test_in_set_no_alloc () =
+  let p = Predicate.In_set (0, [ vi 1; vi 3; vi 5; vi 7 ]) in
+  check Alcotest.bool "member" true (Predicate.eval p t);
+  Helpers.check_alloc_free "an In_set filter" (fun () -> ignore (Predicate.eval p t))
+
 let suite =
   [
     Alcotest.test_case "comparisons" `Quick test_cmp;
     Alcotest.test_case "in set / interval" `Quick test_in_set_interval;
+    Alcotest.test_case "in set allocation-free" `Quick test_in_set_no_alloc;
     Alcotest.test_case "boolean combinators" `Quick test_boolean_combinators;
     Alcotest.test_case "shift" `Quick test_shift;
     Alcotest.test_case "positions" `Quick test_positions;

@@ -70,12 +70,20 @@ let prop_project_concat =
       in
       Tuple.equal left a && Tuple.equal right b)
 
+let test_tuple_compare_no_alloc () =
+  let a = [| Value.Int 1; Value.Str "abc"; Value.Float 2.5; Value.Int 4 |] in
+  let b = [| Value.Int 1; Value.Str "abc"; Value.Float 2.5; Value.Int 5 |] in
+  check Alcotest.bool "a < b" true (Tuple.compare a b < 0);
+  Helpers.check_alloc_free "a multi-value Tuple.compare" (fun () ->
+      ignore (Tuple.compare a b))
+
 let suite =
   [
     Alcotest.test_case "schema create/pos" `Quick test_schema_create;
     Alcotest.test_case "schema conforms" `Quick test_conforms;
     Alcotest.test_case "tuple ops" `Quick test_tuple_ops;
     Alcotest.test_case "tuple compare/hash" `Quick test_tuple_compare;
+    Alcotest.test_case "tuple compare allocation-free" `Quick test_tuple_compare_no_alloc;
     Alcotest.test_case "tuple hash table" `Quick test_tuple_table;
     QCheck_alcotest.to_alcotest prop_project_concat;
   ]

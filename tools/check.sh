@@ -5,7 +5,8 @@
 # overhead, shard scaling, probe-bound serving, work-stealing Domain-pool
 # parallelism (core-aware: speedups where the cores exist, scheduler
 # overhead vs the committed baseline on 1-core hosts), global UB budget
-# arbitration, and a bench diff against committed baselines.
+# arbitration, a bench diff against committed baselines, and a
+# correctness smoke of the end-to-end serving benchmark (perfbench).
 #
 # Usage: tools/check.sh [--skip-bench]
 #   SKIP_BENCH=1          same as --skip-bench
@@ -122,6 +123,22 @@ if [ -z "$fd1" ] || [ "$fd1" != "$fd2" ]; then
   exit 1
 fi
 echo "flight digest reproducible across runs: $fd1"
+
+echo "== perfbench correctness smoke (oracle sample, check_view, replay fingerprints)"
+# a short end-to-end run per workload: correctness only, never speed,
+# so it runs even with --skip-bench. The last stdout line is the JSON
+# result; it must report correct with zero failed operations.
+for workload in read_cold sharded_mix; do
+  pb_last=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  echo "$workload: $pb_last" | cut -c 1-200
+  echo "$pb_last" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' || {
+    echo "FAIL: perfbench $workload smoke not correct (or failed > 0)" >&2
+    exit 1
+  }
+done
 
 if [ "$skip_bench" = "1" ]; then
   echo "== telemetry overhead and shard scaling gates skipped"
